@@ -554,6 +554,10 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
+	// Subscribe before the headers go out: a client that starts a job as
+	// soon as it sees them must receive that job's events.
+	ch, cancel := s.runner.Events().Subscribe(64)
+	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
@@ -562,9 +566,6 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// job event.
 	fmt.Fprint(w, ": gocured event stream\n\n")
 	flusher.Flush()
-
-	ch, cancel := s.runner.Events().Subscribe(64)
-	defer cancel()
 	for {
 		select {
 		case <-r.Context().Done():

@@ -1030,3 +1030,56 @@ func TestRetryAfterSeconds(t *testing.T) {
 		}
 	}
 }
+
+// Machines reuse arenas across requests; no request may see another's
+// bytes. A raw-mode program scribbles over its stack, heap and the slack
+// past its heap block; the raw-mode reader that follows (on the recycled
+// arena) must find its uninitialised local, heap block and slack all zero,
+// and the unused stack above its frame untouched.
+func TestArenaIsolationAcrossRequests(t *testing.T) {
+	s := testServer()
+	cure := func(src string) *RunResponse {
+		t.Helper()
+		body, err := json.Marshal(map[string]any{"name": "iso.c", "source": src, "run": true, "mode": "raw"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, resp := post(t, s, string(body))
+		if rec.Code != http.StatusOK || resp.Run == nil || resp.Run.Trapped {
+			t.Fatalf("status %d, run %+v: %s", rec.Code, resp.Run, rec.Body.String())
+		}
+		return resp.Run
+	}
+	const dirty = `
+void *malloc(unsigned int n);
+void fill(char *p, int n) { int i; for (i = 0; i < n; i++) p[i] = (char)0xAB; }
+int deep(int d) { char buf[2048]; fill(buf, 2048); if (d > 0) return deep(d - 1) + buf[7]; return buf[3]; }
+int main(void) { char *h = (char *)malloc(4096); fill(h, 4096 + 256); return deep(16) & 1; }
+`
+	const reader = `
+int printf(char *fmt, ...);
+void *malloc(unsigned int n);
+int count(char *p, int n) { int i, c = 0; for (i = 0; i < n; i++) c += p[i] != 0; return c; }
+int uninit(void) { char buf[1024]; return count(buf, 1024); }
+int main(void) {
+    char probe[8];
+    char *h = (char *)malloc(64);
+    int s = 0, i;
+    for (i = 0; i < 24000; i++) s += probe[i] != 0;
+    printf("%d %d %d %d\n", uninit(), s, count(h, 64), count(h + 64, 256));
+    return 0;
+}
+`
+	for i := 0; i < 4; i++ {
+		cure(dirty)
+		run := cure(reader)
+		var uninit, stack, heap, slack int
+		if _, err := fmt.Sscanf(run.Stdout, "%d %d %d %d", &uninit, &stack, &heap, &slack); err != nil {
+			t.Fatalf("reader stdout %q: %v", run.Stdout, err)
+		}
+		// The stack count covers the reader's own locals past probe only.
+		if uninit != 0 || heap != 0 || slack != 0 || stack > 32 {
+			t.Fatalf("reader after a dirty request = %q, want \"0 <own locals> 0 0\"", run.Stdout)
+		}
+	}
+}

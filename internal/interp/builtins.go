@@ -139,7 +139,7 @@ func (m *Machine) requireSpan(v Value, n uint32, fn string) {
 
 func bMalloc(m *Machine, args []Value) Value {
 	n := uint32(arg(args, 0).AsInt())
-	blk := m.mem.Alloc(n, mem.RegHeap, "malloc")
+	blk := m.alloc(n, mem.RegHeap, "malloc")
 	blk.Fresh = true
 	m.cnt.Allocs++
 	m.recEvent(flight.EvAlloc, "malloc", uint64(n))
@@ -148,7 +148,7 @@ func bMalloc(m *Machine, args []Value) Value {
 
 func bCalloc(m *Machine, args []Value) Value {
 	n := uint32(arg(args, 0).AsInt()) * uint32(arg(args, 1).AsInt())
-	blk := m.mem.Alloc(n, mem.RegHeap, "calloc")
+	blk := m.alloc(n, mem.RegHeap, "calloc")
 	blk.Fresh = true
 	m.cnt.Allocs++
 	m.recEvent(flight.EvAlloc, "calloc", uint64(n))
@@ -592,7 +592,7 @@ func bQsort(m *Machine, args []Value) Value {
 		return r.AsInt() < 0
 	})
 	// Apply the permutation via a scratch copy.
-	scratch := m.mem.Alloc(uint32(n)*size, mem.RegHeap, "qsort-tmp")
+	scratch := m.alloc(uint32(n)*size, mem.RegHeap, "qsort-tmp")
 	for i, j := range idx {
 		m.check(m.mem.Copy(scratch.Addr+uint32(i)*size, base.P+uint32(j)*size, size))
 	}
@@ -621,7 +621,7 @@ func bGethostbyname(m *Machine, args []Value) Value {
 
 func (m *Machine) buildHostent(name string) uint32 {
 	writeStr := func(s string) (uint32, uint32) {
-		b := m.mem.Alloc(uint32(len(s))+1, mem.RegGlobal, "libc-str")
+		b := m.alloc(uint32(len(s))+1, mem.RegGlobal, "libc-str")
 		for i := 0; i < len(s); i++ {
 			m.check(m.mem.WriteInt(b.Addr+uint32(i), 1, int64(s[i])))
 		}
@@ -631,12 +631,12 @@ func (m *Machine) buildHostent(name string) uint32 {
 	a1, a1e := writeStr("alias0." + name)
 	a2, a2e := writeStr("alias1." + name)
 	// h_aliases: char*[3] with NULL terminator (thin pointers).
-	arr := m.mem.Alloc(12, mem.RegGlobal, "libc-aliases")
+	arr := m.alloc(12, mem.RegGlobal, "libc-aliases")
 	m.check(m.mem.WriteWord(arr.Addr, a1))
 	m.check(m.mem.WriteWord(arr.Addr+4, a2))
 	m.check(m.mem.WriteWord(arr.Addr+8, 0))
 	// struct hostent itself.
-	h := m.mem.Alloc(12, mem.RegGlobal, "libc-hostent")
+	h := m.alloc(12, mem.RegGlobal, "libc-hostent")
 	m.check(m.mem.WriteWord(h.Addr, nameP))
 	m.check(m.mem.WriteWord(h.Addr+4, arr.Addr))
 	m.check(m.mem.WriteInt(h.Addr+8, 4, 2)) // AF_INET

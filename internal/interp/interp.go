@@ -220,7 +220,8 @@ type layoutOracle interface {
 	PtrSize(*ctypes.Type) int
 }
 
-// Machine executes one program instance.
+// Machine executes one program instance, once: Run hands its arena back to
+// the free list, and a second Run returns an error.
 type Machine struct {
 	prog   *cil.Program
 	lay    layoutOracle
@@ -288,6 +289,12 @@ type Machine struct {
 	trapProv *TrapProvenance
 
 	libcState *libcState
+
+	// setupTrap is a trap raised while New laid out the program (an arena
+	// that does not fit the address space); Run reports it as the outcome.
+	// ran makes the machine single-use: Run releases the arena.
+	setupTrap *mem.Trap
+	ran       bool
 }
 
 type funcLayout struct {
@@ -361,7 +368,8 @@ type trapPanic struct{ t *mem.Trap }
 type exitPanic struct{ code int }
 
 // New builds a machine for prog under cfg. For PolicyCured, cfg.Cured.Prog
-// must be the (instrumented) program to run.
+// must be the (instrumented) program to run. A Machine is single-use: its
+// arena is taken from the package free list here and handed back by Run.
 func New(prog *cil.Program, cfg Config) *Machine {
 	m := &Machine{
 		prog:        prog,
@@ -442,6 +450,23 @@ func New(prog *cil.Program, cfg Config) *Machine {
 			m.code = vm.Compile(m.prog, vmLayout(m.lay))
 		}
 	}
+	m.setupTrap = m.layoutMemory(cfg.StackSize)
+	return m
+}
+
+// layoutMemory places globals, string literals and the stack in the arena.
+// A trap raised here (a region that does not fit the address space) is
+// returned for Run to report.
+func (m *Machine) layoutMemory(stack uint32) (trap *mem.Trap) {
+	defer func() {
+		if r := recover(); r != nil {
+			p, ok := r.(trapPanic)
+			if !ok {
+				panic(r)
+			}
+			trap = p.t
+		}
+	}()
 	m.layoutGlobals()
 	if m.code != nil {
 		// Bind the module's global-index table to this machine's layout
@@ -451,12 +476,11 @@ func New(prog *cil.Program, cfg Config) *Machine {
 			m.vmGlobals[i] = m.globals[v]
 		}
 	}
-	stack := cfg.StackSize
 	if stack == 0 {
 		stack = 1 << 20
 	}
-	m.mem.InitStack(stack)
-	return m
+	m.check(m.mem.InitStack(stack))
+	return nil
 }
 
 // vmLayout narrows the machine's layout oracle to the compiler's view.
@@ -466,8 +490,15 @@ func vmLayout(lay layoutOracle) vm.Layout { return lay }
 func (m *Machine) Stdout() string { return m.stdout.String() }
 
 // Run executes main() and returns the outcome. Traps are reported in the
-// outcome, not as Go errors; Go errors mean the program is malformed.
+// outcome, not as Go errors; Go errors mean the program is malformed or the
+// machine has already run. Run zeroes the arena and returns it to the free
+// list once the outcome is built, so a Machine runs at most once.
 func (m *Machine) Run() (out *Outcome, err error) {
+	if m.ran {
+		return nil, fmt.Errorf("machine already ran: a Machine is single-use")
+	}
+	m.ran = true
+	defer m.mem.Release()
 	mainFn := m.prog.Lookup("main")
 	if mainFn == nil {
 		return nil, fmt.Errorf("program has no main function")
@@ -506,6 +537,9 @@ func (m *Machine) Run() (out *Outcome, err error) {
 		}
 		err = nil
 	}()
+	if m.setupTrap != nil {
+		panic(trapPanic{m.setupTrap})
+	}
 	ret := m.call(mainFn, m.mainArgs(mainFn))
 	out.ExitCode = int(ret.AsInt())
 	return out, nil
@@ -525,7 +559,7 @@ func (m *Machine) mainArgs(mainFn *cil.Func) []Value {
 	args := append([]string{"a.out"}, m.args...)
 	elemTy := argvTy.Elem
 	esz := uint32(m.lay.PtrSize(elemTy))
-	blk := m.mem.Alloc(esz*uint32(len(args)+1), mem.RegGlobal, "argv")
+	blk := m.alloc(esz*uint32(len(args)+1), mem.RegGlobal, "argv")
 	for i, a := range args {
 		m.store(blk.Addr+uint32(i)*esz, elemTy, m.internString(a))
 	}
@@ -533,6 +567,14 @@ func (m *Machine) mainArgs(mainFn *cil.Func) []Value {
 		IntVal(int64(len(args))),
 		SeqVal(blk.Addr, blk.Addr, blk.End()),
 	}
+}
+
+// alloc carves a block from the arena; a block that does not fit the
+// address space ends the run in an out-of-memory trap.
+func (m *Machine) alloc(size uint32, region mem.Region, name string) *mem.Block {
+	b, err := m.mem.Alloc(size, region, name)
+	m.check(err)
+	return b
 }
 
 func (m *Machine) trapf(kind, format string, args ...any) {
@@ -658,7 +700,7 @@ func (m *Machine) finishSites() {
 func (m *Machine) layoutGlobals() {
 	// Function descriptors first (so function addresses are stable).
 	for _, f := range m.prog.Funcs {
-		b := m.mem.Alloc(4, mem.RegCode, "fn:"+f.Name)
+		b := m.alloc(4, mem.RegCode, "fn:"+f.Name)
 		m.funcAddr[f.Name] = b.Addr
 		m.funcByAddr[b.Addr] = f
 	}
@@ -666,13 +708,13 @@ func (m *Machine) layoutGlobals() {
 		if _, dup := m.funcAddr[v.Name]; dup {
 			continue
 		}
-		b := m.mem.Alloc(4, mem.RegCode, "ext:"+v.Name)
+		b := m.alloc(4, mem.RegCode, "ext:"+v.Name)
 		m.funcAddr[v.Name] = b.Addr
 		m.bltnByAddr[b.Addr] = v.Name
 	}
 	for _, g := range m.prog.Globals {
 		size := m.lay.Sizeof(g.Var.Type)
-		b := m.mem.Alloc(uint32(size), mem.RegGlobal, g.Var.Name)
+		b := m.alloc(uint32(size), mem.RegGlobal, g.Var.Name)
 		m.globals[g.Var] = b.Addr
 	}
 	for _, g := range m.prog.Globals {
@@ -743,7 +785,7 @@ func (m *Machine) internString(s string) Value {
 	if addr, ok := m.strings[s]; ok {
 		return SeqVal(addr, addr, addr+uint32(len(s))+1)
 	}
-	b := m.mem.Alloc(uint32(len(s))+1, mem.RegGlobal, "str")
+	b := m.alloc(uint32(len(s))+1, mem.RegGlobal, "str")
 	for i := 0; i < len(s); i++ {
 		m.check(m.mem.WriteInt(b.Addr+uint32(i), 1, int64(s[i])))
 	}
@@ -757,7 +799,7 @@ func (m *Machine) funcAddrOf(name string) uint32 {
 		return a
 	}
 	// Unknown extern used only by address: allocate a descriptor lazily.
-	b := m.mem.Alloc(4, mem.RegCode, "ext:"+name)
+	b := m.alloc(4, mem.RegCode, "ext:"+name)
 	m.funcAddr[name] = b.Addr
 	m.bltnByAddr[b.Addr] = name
 	return b.Addr

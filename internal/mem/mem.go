@@ -15,7 +15,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Region classifies a block's storage class.
@@ -103,12 +105,66 @@ type Memory struct {
 	Loads, Stores uint64
 }
 
-// New returns an empty memory with the null page reserved.
+// New returns an empty memory with the null page reserved. Its arena comes
+// from the package free list; Release hands it back.
 func New() *Memory {
-	m := &Memory{arena: make([]byte, nullPage, 1<<16), brk: nullPage}
+	m := &Memory{arena: getArena(), brk: nullPage}
+	m.extend(nullPage)
 	m.blocks = append(m.blocks, &Block{ID: 0, Addr: 0, Size: nullPage, Region: RegNull, Name: "<null>"})
 	m.nextID = 1
 	return m
+}
+
+// Release zeroes the arena over its used length and returns it to the free
+// list. The memory is unusable afterwards: every access traps as unmapped.
+// Releasing twice is a no-op.
+func (m *Memory) Release() {
+	if m.arena == nil {
+		return
+	}
+	putArena(m.arena)
+	m.arena = nil
+}
+
+// The arena free list. Every buffer on it is zero over its whole capacity:
+// putArena clears the used length, and nothing ever writes past len (all
+// accesses are bounds-checked against len by inArena), so a recycled arena
+// is indistinguishable from a fresh one to the program that next runs in it.
+const (
+	// maxPooledArena is the largest arena capacity the free list keeps;
+	// bigger arenas are dropped for the collector.
+	maxPooledArena = 16 << 20
+	// maxPooledArenas bounds the number of idle arenas kept.
+	maxPooledArenas = 32
+)
+
+var arenaPool struct {
+	sync.Mutex
+	free [][]byte
+}
+
+func getArena() []byte {
+	arenaPool.Lock()
+	defer arenaPool.Unlock()
+	if n := len(arenaPool.free); n > 0 {
+		a := arenaPool.free[n-1]
+		arenaPool.free[n-1] = nil
+		arenaPool.free = arenaPool.free[:n-1]
+		return a
+	}
+	return nil // extend allocates on first growth
+}
+
+func putArena(a []byte) {
+	if cap(a) > maxPooledArena {
+		return
+	}
+	clear(a)
+	arenaPool.Lock()
+	defer arenaPool.Unlock()
+	if len(arenaPool.free) < maxPooledArenas {
+		arenaPool.free = append(arenaPool.free, a[:0])
+	}
 }
 
 func align8(n uint32) uint32 { return (n + 7) &^ 7 }
@@ -118,31 +174,44 @@ func align8(n uint32) uint32 { return (n + 7) &^ 7 }
 // real heap, instead of faulting at the arena edge.
 const allocSlack = 256
 
-func (m *Memory) extend(to uint32) {
-	need := int(to)
-	for len(m.arena) < need {
-		m.arena = append(m.arena, 0)
-	}
+// addrSpace is the size of the simulated 32-bit address space. A region
+// whose end (slack included) would not fit below it cannot be mapped.
+const addrSpace = 1 << 32
+
+// outOfMemory is the trap for a region that does not fit the address space.
+func outOfMemory(size uint32, name string) *Trap {
+	return NewTrap("out-of-memory", "cannot map %d bytes for %q: the 32-bit address space is exhausted", size, name)
 }
 
-// Alloc carves a new block. Sizes of 0 are rounded up to one word so every
-// object has a distinct address.
-func (m *Memory) Alloc(size uint32, region Region, name string) *Block {
+// extend maps the arena up to address to. Bytes it exposes are zero (see
+// the free list invariant above).
+func (m *Memory) extend(to uint32) {
+	need := int(to)
+	if need <= len(m.arena) {
+		return
+	}
+	m.arena = slices.Grow(m.arena, need-len(m.arena))[:need]
+}
+
+// Alloc carves a new zeroed block. Sizes of 0 are rounded up to one word so
+// every object has a distinct address. A block that would not fit the
+// address space is an out-of-memory trap.
+func (m *Memory) Alloc(size uint32, region Region, name string) (*Block, error) {
 	if size == 0 {
 		size = 4
 	}
 	addr := align8(m.brk)
-	m.extend(addr + size + allocSlack)
-	// Zero the block (heap reuse does not occur, but slack may have been
-	// scribbled on by a past overflow).
-	for i := addr; i < addr+size; i++ {
-		m.arena[i] = 0
+	if uint64(addr)+uint64(size)+allocSlack >= addrSpace {
+		return nil, outOfMemory(size, name)
 	}
+	m.extend(addr + size + allocSlack)
+	// Zero the block: slack may have been scribbled on by a past overflow.
+	clear(m.arena[addr : addr+size])
 	m.brk = addr + size
 	b := &Block{ID: m.nextID, Addr: addr, Size: size, Region: region, Name: name}
 	m.nextID++
 	m.blocks = append(m.blocks, b)
-	return b
+	return b, nil
 }
 
 // Free marks a heap block dead. Double frees and non-heap frees trap.

@@ -7,8 +7,8 @@ import (
 
 func TestAllocAndBlockAt(t *testing.T) {
 	m := New()
-	a := m.Alloc(16, RegHeap, "a")
-	b := m.Alloc(32, RegGlobal, "b")
+	a := mustAlloc(t, m, 16, RegHeap, "a")
+	b := mustAlloc(t, m, 32, RegGlobal, "b")
 	if a.Addr == 0 || b.Addr == 0 {
 		t.Fatal("blocks must not start at the null page")
 	}
@@ -38,7 +38,7 @@ func TestNullPageTraps(t *testing.T) {
 
 func TestReadWriteRoundTrip(t *testing.T) {
 	m := New()
-	b := m.Alloc(64, RegHeap, "rt")
+	b := mustAlloc(t, m, 64, RegHeap, "rt")
 	cases := []struct {
 		size   int
 		signed bool
@@ -96,8 +96,8 @@ func TestReadWriteRoundTrip(t *testing.T) {
 
 func TestFreeSemantics(t *testing.T) {
 	m := New()
-	b := m.Alloc(8, RegHeap, "f")
-	g := m.Alloc(8, RegGlobal, "g")
+	b := mustAlloc(t, m, 8, RegHeap, "f")
+	g := mustAlloc(t, m, 8, RegGlobal, "g")
 	if err := m.Free(b.Addr); err != nil {
 		t.Fatalf("first free: %v", err)
 	}
@@ -114,8 +114,8 @@ func TestFreeSemantics(t *testing.T) {
 
 func TestOverflowCorruptsSilently(t *testing.T) {
 	m := New()
-	a := m.Alloc(8, RegGlobal, "a")
-	b := m.Alloc(8, RegGlobal, "b")
+	a := mustAlloc(t, m, 8, RegGlobal, "a")
+	b := mustAlloc(t, m, 8, RegGlobal, "b")
 	if err := m.WriteInt(b.Addr, 4, 1234); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,9 @@ func TestOverflowCorruptsSilently(t *testing.T) {
 
 func TestStackPushPop(t *testing.T) {
 	m := New()
-	m.InitStack(4096)
+	if err := m.InitStack(4096); err != nil {
+		t.Fatal(err)
+	}
 	f1, err := m.PushFrame(64, "f1")
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +165,9 @@ func TestStackPushPop(t *testing.T) {
 
 func TestStackOverflow(t *testing.T) {
 	m := New()
-	m.InitStack(256)
+	if err := m.InitStack(256); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := m.PushFrame(128, "a"); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +178,7 @@ func TestStackOverflow(t *testing.T) {
 
 func TestWildTags(t *testing.T) {
 	m := New()
-	b := m.Alloc(32, RegHeap, "w")
+	b := mustAlloc(t, m, 32, RegHeap, "w")
 	if b.TagAt(b.Addr) != 0 {
 		t.Error("non-wild block has tags")
 	}
@@ -194,7 +198,7 @@ func TestWildTags(t *testing.T) {
 
 func TestCStringAndBytes(t *testing.T) {
 	m := New()
-	b := m.Alloc(16, RegGlobal, "s")
+	b := mustAlloc(t, m, 16, RegGlobal, "s")
 	for i, c := range []byte("hi!") {
 		if err := m.WriteInt(b.Addr+uint32(i), 1, int64(c)); err != nil {
 			t.Fatal(err)
@@ -212,7 +216,7 @@ func TestCStringAndBytes(t *testing.T) {
 
 func TestCopyOverlap(t *testing.T) {
 	m := New()
-	b := m.Alloc(16, RegHeap, "c")
+	b := mustAlloc(t, m, 16, RegHeap, "c")
 	for i := 0; i < 8; i++ {
 		if err := m.WriteInt(b.Addr+uint32(i), 1, int64('a'+i)); err != nil {
 			t.Fatal(err)
@@ -235,7 +239,7 @@ func TestAllocProperty(t *testing.T) {
 		m := New()
 		var blocks []*Block
 		for _, s := range sizes {
-			blocks = append(blocks, m.Alloc(uint32(s%100)+1, RegHeap, "p"))
+			blocks = append(blocks, mustAlloc(t, m, uint32(s%100)+1, RegHeap, "p"))
 		}
 		for i, b := range blocks {
 			for j, c := range blocks {
@@ -251,5 +255,123 @@ func TestAllocProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+func mustAlloc(t *testing.T, m *Memory, size uint32, region Region, name string) *Block {
+	t.Helper()
+	b, err := m.Alloc(size, region, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.End() <= b.Addr {
+		t.Fatalf("block %q: End 0x%x not above Addr 0x%x", name, b.End(), b.Addr)
+	}
+	return b
+}
+
+// An allocation whose end would wrap the 32-bit address space is an
+// out-of-memory trap that leaves the allocator untouched. Carved anyway, the
+// block would end below its start and brk would move backwards, so the next
+// block would overlap live ones.
+func TestAllocOverflowTraps(t *testing.T) {
+	m := New()
+	defer m.Release()
+	a := mustAlloc(t, m, 64, RegHeap, "a")
+	for _, size := range []uint32{4294967200, 1<<32 - 1, 1<<32 - allocSlack - a.End()} {
+		b, err := m.Alloc(size, RegHeap, "huge")
+		tr, ok := err.(*Trap)
+		if !ok || tr.Kind != "out-of-memory" || b != nil {
+			t.Fatalf("Alloc(%d) = %v, %v; want out-of-memory trap", size, b, err)
+		}
+	}
+	c := mustAlloc(t, m, 16, RegHeap, "c")
+	if c.Addr < a.End() {
+		t.Errorf("block after the failed alloc at 0x%x overlaps a [0x%x,0x%x)", c.Addr, a.Addr, a.End())
+	}
+	for _, b := range m.Blocks() {
+		if b.End() <= b.Addr {
+			t.Errorf("block %q: End 0x%x not above Addr 0x%x", b.Name, b.End(), b.Addr)
+		}
+	}
+}
+
+func TestInitStackOverflowTraps(t *testing.T) {
+	m := New()
+	defer m.Release()
+	err := m.InitStack(1<<32 - 16)
+	if tr, ok := err.(*Trap); !ok || tr.Kind != "out-of-memory" {
+		t.Fatalf("InitStack = %v, want out-of-memory trap", err)
+	}
+	if m.InStack(nullPage + 8) {
+		t.Error("failed InitStack left a stack region behind")
+	}
+}
+
+// A frame too large for the stack is a stack overflow, even when its end
+// would wrap the address space.
+func TestPushFrameHugeFrame(t *testing.T) {
+	m := New()
+	defer m.Release()
+	if err := m.InitStack(4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.PushFrame(1<<32-8, "huge"); err == nil {
+		t.Fatal("expected stack overflow")
+	}
+}
+
+// Growth maps zeroed bytes, and a released arena comes back zeroed over its
+// whole capacity, so a recycled arena reads exactly like a fresh one.
+func TestArenaRecycledZeroed(t *testing.T) {
+	m := New()
+	if err := m.InitStack(1 << 16); err != nil {
+		t.Fatal(err)
+	}
+	b := mustAlloc(t, m, 3000, RegHeap, "dirty")
+	for _, x := range m.arena {
+		if x != 0 {
+			t.Fatal("extend exposed a nonzero byte")
+		}
+	}
+	// Scribble over the block and past it into the slack.
+	if err := m.SetBytes(b.Addr, 0xAB, b.Size+allocSlack); err != nil {
+		t.Fatal(err)
+	}
+	used := len(m.arena)
+	m.Release()
+	if m.Size() != 0 {
+		t.Errorf("released memory still maps %d bytes", m.Size())
+	}
+	if _, err := m.ReadInt(b.Addr, 4, false); err == nil {
+		t.Error("read after Release must trap")
+	}
+	m.Release() // a second Release is a no-op
+
+	m2 := New()
+	defer m2.Release()
+	if cap(m2.arena) < used {
+		t.Fatalf("arena not recycled: cap %d < previous length %d", cap(m2.arena), used)
+	}
+	for i, x := range m2.arena[:cap(m2.arena)] {
+		if x != 0 {
+			t.Fatalf("recycled arena byte %d = %#x, want 0", i, x)
+		}
+	}
+}
+
+func TestArenaPoolDropsOversized(t *testing.T) {
+	m := New()
+	b := mustAlloc(t, m, maxPooledArena+1, RegHeap, "big")
+	if b.End() > uint32(m.Size()) {
+		t.Fatalf("block [0x%x,0x%x) not mapped (arena %d bytes)", b.Addr, b.End(), m.Size())
+	}
+	m.Release()
+	arenaPool.Lock()
+	defer arenaPool.Unlock()
+	for _, a := range arenaPool.free {
+		if cap(a) > maxPooledArena {
+			t.Fatalf("free list kept a %d-byte arena (ceiling %d)", cap(a), maxPooledArena)
+		}
 	}
 }

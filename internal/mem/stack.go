@@ -6,17 +6,22 @@ package mem
 // as in real C) until the next push overwrites them.
 
 // InitStack reserves a stack region of the given size. Must be called once
-// before PushFrame.
-func (m *Memory) InitStack(size uint32) {
+// before PushFrame. A region that does not fit the address space is an
+// out-of-memory trap.
+func (m *Memory) InitStack(size uint32) error {
 	if m.stackBase != 0 {
-		return
+		return nil
 	}
 	base := align8(m.brk)
+	if uint64(base)+uint64(size)+allocSlack >= addrSpace {
+		return outOfMemory(size, "<stack>")
+	}
 	m.extend(base + size + allocSlack)
 	m.brk = base + size
 	m.stackBase = base
 	m.stackSize = size
 	m.sp = base
+	return nil
 }
 
 // InStack reports whether addr lies in the stack region.
@@ -30,13 +35,11 @@ func (m *Memory) PushFrame(size uint32, name string) (*Block, error) {
 		size = 8
 	}
 	addr := align8(m.sp)
-	if addr+size > m.stackBase+m.stackSize {
+	if uint64(addr)+uint64(size) > uint64(m.stackBase)+uint64(m.stackSize) {
 		return nil, NewTrap("stack-overflow", "stack overflow pushing frame %q (%d bytes)", name, size)
 	}
 	// Zero the frame (locals read as 0 until initialized; see DESIGN.md).
-	for i := addr; i < addr+size; i++ {
-		m.arena[i] = 0
-	}
+	clear(m.arena[addr : addr+size])
 	b := &Block{ID: m.nextID, Addr: addr, Size: size, Region: RegStack, Name: name}
 	m.nextID++
 	m.stack = append(m.stack, b)

@@ -1,6 +1,9 @@
 package trace
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // Span is one timed pipeline phase (parse, sema, lower, infer, instrument,
 // run). DurMS is milliseconds, the unit the metrics surface uses. StartMS
@@ -30,6 +33,18 @@ type SpanSet struct {
 // SpanHandle identifies one Begin'd span for End.
 type SpanHandle int
 
+// gridMS is the resolution of span times: 2^-20 ms, just under 1 ns.
+// Every time a SpanSet records is a whole number of grid steps, converted
+// to ms once; power-of-two steps make the float64 sums and differences of
+// such times exact, so a span closed at instant end has StartMS+DurMS ==
+// end bit for bit, and spans closed together end together.
+const gridMS = 1.0 / (1 << 20)
+
+// toMS converts d to ms on the span grid.
+func toMS(d time.Duration) float64 {
+	return math.Round(float64(d)/float64(time.Millisecond)/gridMS) * gridMS
+}
+
 // now returns the offset in ms since the set's first observation,
 // initializing the epoch on first use.
 func (s *SpanSet) now() float64 {
@@ -37,7 +52,7 @@ func (s *SpanSet) now() float64 {
 		s.t0 = time.Now()
 		return 0
 	}
-	return float64(time.Since(s.t0)) / float64(time.Millisecond)
+	return toMS(time.Since(s.t0))
 }
 
 // Add records a completed (leaf) span ending now with duration d.
@@ -46,7 +61,7 @@ func (s *SpanSet) Add(name string, d time.Duration) {
 		return
 	}
 	end := s.now()
-	dur := float64(d) / float64(time.Millisecond)
+	dur := toMS(d)
 	start := end - dur
 	if start < 0 {
 		start = 0
@@ -88,7 +103,8 @@ func (s *SpanSet) End(h SpanHandle) {
 		return
 	}
 	end := s.now()
-	// Close h and everything opened after it, innermost first.
+	// Close h and everything opened after it, innermost first; all of them
+	// end at exactly end (see gridMS).
 	for i := len(s.open) - 1; i >= at; i-- {
 		sp := &s.Spans[s.open[i]]
 		sp.DurMS = end - sp.StartMS

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -272,4 +273,24 @@ func TestSpanOutOfOrderEnd(t *testing.T) {
 	// Out-of-range handles are ignored.
 	ss.End(SpanHandle(-1))
 	ss.End(SpanHandle(99))
+}
+
+// Span times sit on a power-of-two grid, so a span's EndMS is exactly the
+// instant End recorded and a child closed with its parent ends with it
+// (TestSpanOutOfOrderEnd's ordering check). The fixed pair is one where ms
+// offsets computed as ns/1e6 do not round-trip: start+(end-start) lands an
+// ulp past end.
+func TestSpanEndExact(t *testing.T) {
+	start, end := toMS(1093588*time.Nanosecond), toMS(7144663*time.Nanosecond)
+	if got := start + (end - start); got != end {
+		t.Errorf("start+(end-start) = %v, want %v", got, end)
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 100000; i++ {
+		d := time.Duration(r.Int63n(int64(time.Hour)))
+		s, e := toMS(time.Duration(r.Int63n(int64(d)+1))), toMS(d)
+		if s+(e-s) != e {
+			t.Fatalf("start %v + (end %v - start) = %v", s, e, s+(e-s))
+		}
+	}
 }
