@@ -1,6 +1,7 @@
 package cparse
 
 import (
+	"strings"
 	"testing"
 
 	"gocured/internal/ctypes"
@@ -46,6 +47,21 @@ func TestLexBasics(t *testing.T) {
 	}
 	if toks[11].Text != "hi\nthere" {
 		t.Errorf("string literal = %q (concatenation)", toks[11].Text)
+	}
+}
+
+// TestLexOperatorText pins every operator token's Text to its spelling.
+func TestLexOperatorText(t *testing.T) {
+	ops := strings.Fields(`( ) { } [ ] ; , . -> ... + - * / % & | ^ ~ ! << >> < > <= >= == != && || ? : ++ -- = += -= *= /= %= &= |= ^= <<= >>=`)
+	var d diag.List
+	toks := LexAll("t.c", strings.Join(ops, " "), &d)
+	if d.HasErrors() || len(toks) != len(ops)+1 {
+		t.Fatalf("lexed %d tokens (want %d): %v", len(toks), len(ops)+1, d.Err())
+	}
+	for i, op := range ops {
+		if toks[i].Text != op || toks[i].Kind.String() != op {
+			t.Errorf("token %d: Text %q, Kind %s; want %q", i, toks[i].Text, toks[i].Kind, op)
+		}
 	}
 }
 

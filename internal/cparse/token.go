@@ -122,7 +122,9 @@ var keywords = map[string]TokKind{
 	"__trusted_cast": KwTrustedCast,
 }
 
-var tokNames = map[TokKind]string{
+// tokNames spells every non-keyword kind; operator tokens take their Text
+// from it.
+var tokNames = [...]string{
 	EOF: "EOF", IDENT: "identifier", INTLIT: "integer literal",
 	FLOATLIT: "float literal", CHARLIT: "char literal", STRLIT: "string literal",
 	PRAGMA: "#pragma",
@@ -140,8 +142,8 @@ var tokNames = map[TokKind]string{
 
 // String returns a printable name for the token kind.
 func (k TokKind) String() string {
-	if n, ok := tokNames[k]; ok {
-		return n
+	if k >= 0 && int(k) < len(tokNames) && tokNames[k] != "" {
+		return tokNames[k]
 	}
 	for s, kw := range keywords {
 		if kw == k {

@@ -455,14 +455,20 @@ func equal(a, b *Type, seen map[[2]int]bool) bool {
 // signature types), calling f on each occurrence exactly once per syntactic
 // occurrence. Struct definitions are visited once.
 func Walk(t *Type, f func(*Type)) {
+	walk(t, func(u *Type) bool { f(u); return true }, make(map[*StructInfo]bool))
+}
+
+// WalkPruned is Walk where f reports whether to descend into the types
+// reachable from its argument; returning false prunes that subtree. The
+// visit order of every type it does reach is Walk's.
+func WalkPruned(t *Type, f func(*Type) bool) {
 	walk(t, f, make(map[*StructInfo]bool))
 }
 
-func walk(t *Type, f func(*Type), seen map[*StructInfo]bool) {
-	if t == nil {
+func walk(t *Type, f func(*Type) bool, seen map[*StructInfo]bool) {
+	if t == nil || !f(t) {
 		return
 	}
-	f(t)
 	switch t.Kind {
 	case Ptr, Array:
 		walk(t.Elem, f, seen)
