@@ -61,6 +61,41 @@ int main(void) {
 	}
 }
 
+// calloc's element count times element size is taken in 64 bits: a
+// product past 4 GiB is malloc's out-of-memory trap in every mode, not a
+// block of the wrapped (here 64 KiB) size.
+func TestCallocOverflowTraps(t *testing.T) {
+	u := buildOrDie(t, `
+void *calloc(unsigned int n, unsigned int size);
+int main(void) {
+    char *a = (char *)calloc(4, 4);
+    char *p = (char *)calloc(65536u, 65537u);
+    p[65536] = 1;
+    return a[0];
+}
+`)
+	for _, be := range backends {
+		runs := map[string]func() (*interp.Outcome, error){
+			"cured":    func() (*interp.Outcome, error) { return u.RunCured(interp.Config{Backend: be}) },
+			"raw":      func() (*interp.Outcome, error) { return u.RunRaw(interp.PolicyNone, interp.Config{Backend: be}) },
+			"purify":   func() (*interp.Outcome, error) { return u.RunRaw(interp.PolicyPurify, interp.Config{Backend: be}) },
+			"valgrind": func() (*interp.Outcome, error) { return u.RunRaw(interp.PolicyValgrind, interp.Config{Backend: be}) },
+		}
+		for mode, run := range runs {
+			out, err := run()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", be, mode, err)
+			}
+			if out.Trap == nil || out.Trap.Kind != "out-of-memory" {
+				t.Fatalf("%s/%s: trap = %v, want out-of-memory", be, mode, out.Trap)
+			}
+			if !strings.Contains(out.Trap.Pos, ":5:") {
+				t.Errorf("%s/%s: trap at %q, want the calloc on line 5", be, mode, out.Trap.Pos)
+			}
+		}
+	}
+}
+
 // A stack that does not fit the address space is an out-of-memory trap
 // reported by Run, not a panic out of New.
 func TestStackOverflowingAddressSpaceTraps(t *testing.T) {

@@ -147,7 +147,14 @@ func bMalloc(m *Machine, args []Value) Value {
 }
 
 func bCalloc(m *Machine, args []Value) Value {
-	n := uint32(arg(args, 0).AsInt()) * uint32(arg(args, 1).AsInt())
+	// The product of two 32-bit counts is taken in 64 bits: one that does
+	// not fit the address space is the trap malloc raises, not a wrapped
+	// (smaller) block.
+	n64 := uint64(uint32(arg(args, 0).AsInt())) * uint64(uint32(arg(args, 1).AsInt()))
+	if n64 > math.MaxUint32 {
+		m.check(mem.OutOfMemory(n64, "calloc"))
+	}
+	n := uint32(n64)
 	blk := m.alloc(n, mem.RegHeap, "calloc")
 	blk.Fresh = true
 	m.cnt.Allocs++

@@ -178,8 +178,9 @@ const allocSlack = 256
 // whose end (slack included) would not fit below it cannot be mapped.
 const addrSpace = 1 << 32
 
-// outOfMemory is the trap for a region that does not fit the address space.
-func outOfMemory(size uint32, name string) *Trap {
+// OutOfMemory is the trap for a region of size bytes that does not fit the
+// address space.
+func OutOfMemory(size uint64, name string) *Trap {
 	return NewTrap("out-of-memory", "cannot map %d bytes for %q: the 32-bit address space is exhausted", size, name)
 }
 
@@ -202,7 +203,7 @@ func (m *Memory) Alloc(size uint32, region Region, name string) (*Block, error) 
 	}
 	addr := align8(m.brk)
 	if uint64(addr)+uint64(size)+allocSlack >= addrSpace {
-		return nil, outOfMemory(size, name)
+		return nil, OutOfMemory(uint64(size), name)
 	}
 	m.extend(addr + size + allocSlack)
 	// Zero the block: slack may have been scribbled on by a past overflow.

@@ -14,7 +14,7 @@ func (m *Memory) InitStack(size uint32) error {
 	}
 	base := align8(m.brk)
 	if uint64(base)+uint64(size)+allocSlack >= addrSpace {
-		return outOfMemory(size, "<stack>")
+		return OutOfMemory(uint64(size), "<stack>")
 	}
 	m.extend(base + size + allocSlack)
 	m.brk = base + size
