@@ -284,3 +284,37 @@ func BenchmarkMachineSetup(b *testing.B) {
 		}
 	}
 }
+
+// A wild load from near the top of the address space wraps addr+size in
+// 32 bits. Purify and Valgrind mode must report it once as a red-zone
+// access and then end in the same segv trap as raw mode, without sizing
+// the shadow memory by the unmapped address or panicking out of Run.
+func TestShadowWildLoadTraps(t *testing.T) {
+	u := buildOrDie(t, `
+int main(void) {
+    int *p = (int *)0xfffffffe;
+    return *p;
+}
+`)
+	for _, be := range backends {
+		raw, err := u.RunRaw(interp.PolicyNone, interp.Config{Backend: be})
+		if err != nil {
+			t.Fatalf("%s/raw: %v", be, err)
+		}
+		if raw.Trap == nil || raw.Trap.Kind != "segv" {
+			t.Fatalf("%s/raw: trap = %v, want segv", be, raw.Trap)
+		}
+		for _, policy := range []interp.Policy{interp.PolicyPurify, interp.PolicyValgrind} {
+			out, err := u.RunRaw(policy, interp.Config{Backend: be})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", be, policy, err)
+			}
+			if out.Trap == nil || out.Trap.Kind != raw.Trap.Kind || out.Trap.Msg != raw.Trap.Msg || out.Trap.Pos != raw.Trap.Pos {
+				t.Errorf("%s/%s: trap = %v, want raw mode's %v", be, policy, out.Trap, raw.Trap)
+			}
+			if len(out.ToolReports) != 1 || !strings.Contains(out.ToolReports[0], "red zone") {
+				t.Errorf("%s/%s: tool reports %q, want one red-zone report", be, policy, out.ToolReports)
+			}
+		}
+	}
+}

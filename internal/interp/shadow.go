@@ -1,6 +1,9 @@
 package interp
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // shadowMem emulates the cost model and detection envelope of binary
 // instrumentation tools:
@@ -46,27 +49,30 @@ func newShadowMem(p Policy) *shadowMem {
 	return s
 }
 
-func (s *shadowMem) grow(n uint32) {
-	for uint32(len(s.bits)) <= n {
-		s.bits = append(s.bits, 0)
-	}
-}
-
 func (s *shadowMem) report(format string, args ...any) {
 	if len(s.reports) < 100 {
 		s.reports = append(s.reports, fmt.Sprintf(format, args...))
 	}
 }
 
-// churn performs the per-byte shadow bookkeeping work.
-func (s *shadowMem) churn(addr, size uint32) {
-	s.grow(addr + size)
-	for i := uint32(0); i < size; i++ {
-		v := uint64(s.bits[addr+i])
+// churn performs the per-byte shadow bookkeeping work for the bytes of
+// [addr, addr+size) that lie inside the arena's mapped length. The rest of
+// a wild access has no shadow: the access itself traps (segv) after the
+// red-zone report, and an unmapped address must not size the shadow.
+func (s *shadowMem) churn(addr, size uint32, mapped int) {
+	end := min(uint64(addr)+uint64(size), uint64(mapped))
+	if uint64(addr) >= end {
+		return
+	}
+	if uint64(len(s.bits)) < end {
+		s.bits = slices.Grow(s.bits, int(end)-len(s.bits))[:end]
+	}
+	for i := uint64(addr); i < end; i++ {
+		v := uint64(s.bits[i])
 		for w := 0; w < s.workPerByte; w++ {
 			v = v*2862933555777941757 + 3037000493
 		}
-		s.bits[addr+i] = uint8(v>>56) | 1
+		s.bits[i] = uint8(v>>56) | 1
 		s.sink += v
 	}
 }
@@ -82,13 +88,13 @@ func (s *shadowMem) cost(size uint32) uint64 {
 
 func (s *shadowMem) onLoad(m *Machine, addr, size uint32) {
 	m.addCost(s.cost(size))
-	s.churn(addr, size)
+	s.churn(addr, size, m.mem.Size())
 	s.checkAccess(m, addr, size, "read")
 }
 
 func (s *shadowMem) onStore(m *Machine, addr, size uint32) {
 	m.addCost(s.cost(size))
-	s.churn(addr, size)
+	s.churn(addr, size, m.mem.Size())
 	s.checkAccess(m, addr, size, "write")
 }
 
